@@ -50,9 +50,12 @@ impl RecProgram for NQueensProgram {
         let calls: Vec<QueensTask> = (0..task.n)
             .filter(|&c| task.safe(c))
             .map(|c| {
-                let mut next = task.clone();
-                next.cols.push(c);
-                next
+                // One allocation per child: a clone has exact capacity, so
+                // pushing onto it would reallocate.
+                let mut cols = Vec::with_capacity(task.cols.len() + 1);
+                cols.extend_from_slice(&task.cols);
+                cols.push(c);
+                QueensTask { n: task.n, cols }
             })
             .collect();
         if calls.is_empty() {

@@ -1,13 +1,11 @@
 //! [`MappingHost`]: the layer-1 program implementing ticketed,
 //! destination-less message passing (§IV-B).
 
-use std::collections::HashSet;
-
 use hyperspace_sim::{InitCtx, NodeId, NodeProgram, Outbox};
 
 use crate::mapper::{MapView, Mapper, MapperFactory, Target};
 use crate::msg::{MapMsg, MapPayload, Weight};
-use crate::ticket::Ticket;
+use crate::ticket::{Ticket, TicketMap};
 
 /// An application written against layer 3 (§IV-B's programming style).
 ///
@@ -134,9 +132,11 @@ pub struct MapState<H: TicketHandler, M> {
     mapper: M,
     received: u64,
     next_serial: u32,
-    root_tickets: HashSet<u64>,
+    /// Root calls triggered on this node whose reply is still due
+    /// (usually none or one, so a scan beats a hash).
+    root_tickets: Vec<Ticket>,
     /// Where each outstanding ticket's request was mapped (for cancels).
-    ticket_dst: std::collections::HashMap<u64, NodeId>,
+    ticket_dst: TicketMap<NodeId>,
     /// Results of root calls triggered on this node.
     pub root_results: Vec<(Ticket, H::Resp)>,
     /// Requests serviced by this node.
@@ -178,7 +178,7 @@ struct HostCtx<'a, 'b, Q, R, M: Mapper> {
     next_serial: &'a mut u32,
     node: NodeId,
     calls_issued: &'a mut u64,
-    ticket_dst: &'a mut std::collections::HashMap<u64, NodeId>,
+    ticket_dst: &'a mut TicketMap<NodeId>,
 }
 
 impl<'a, 'b, Q: Clone + Send, R: Clone + Send, M: Mapper> CallCtx<Q, R>
@@ -199,7 +199,7 @@ impl<'a, 'b, Q: Clone + Send, R: Clone + Send, M: Mapper> CallCtx<Q, R>
             Target::Port(p) => self.outbox.neighbour(p),
             Target::Node(n) => n,
         };
-        self.ticket_dst.insert(ticket.raw(), dst);
+        self.ticket_dst.insert(ticket, dst);
         self.outbox.send(
             dst,
             MapMsg {
@@ -211,7 +211,7 @@ impl<'a, 'b, Q: Clone + Send, R: Clone + Send, M: Mapper> CallCtx<Q, R>
     }
 
     fn cancel(&mut self, ticket: Ticket) {
-        if let Some(dst) = self.ticket_dst.remove(&ticket.raw()) {
+        if let Some(dst) = self.ticket_dst.remove(&ticket) {
             self.outbox.send(
                 dst,
                 MapMsg {
@@ -326,8 +326,8 @@ where
             mapper: self.factory.build(node, ctx.degree()),
             received: 0,
             next_serial: 0,
-            root_tickets: HashSet::new(),
-            ticket_dst: std::collections::HashMap::new(),
+            root_tickets: Vec::new(),
+            ticket_dst: TicketMap::default(),
             root_results: Vec::new(),
             requests_in: 0,
             replies_in: 0,
@@ -381,8 +381,9 @@ where
             }
             MapPayload::Reply { ticket, resp } => {
                 state.replies_in += 1;
-                state.ticket_dst.remove(&ticket.raw());
-                if state.root_tickets.remove(&ticket.raw()) {
+                state.ticket_dst.remove(&ticket);
+                if let Some(i) = state.root_tickets.iter().position(|&t| t == ticket) {
+                    state.root_tickets.swap_remove(i);
                     state.root_results.push((ticket, resp));
                     if self.cfg.halt_on_root_reply {
                         outbox.halt();
@@ -396,7 +397,7 @@ where
             MapPayload::Trigger { req } => {
                 let mut ctx = ctx!();
                 let ticket = ctx.call(req);
-                state.root_tickets.insert(ticket.raw());
+                state.root_tickets.push(ticket);
             }
             MapPayload::Cancel { ticket } => {
                 state.cancels_in += 1;

@@ -36,4 +36,4 @@ pub use mapper::{
     RoundRobinMapper, Target, WeightAwareMapper,
 };
 pub use msg::{MapMsg, MapPayload, Weight};
-pub use ticket::Ticket;
+pub use ticket::{Ticket, TicketHasher, TicketMap};

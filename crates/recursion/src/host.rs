@@ -2,15 +2,14 @@
 //! interface, maintaining the paper's *call records* (Figure 3).
 //!
 //! Every suspended activation becomes a [`CallRecord`] holding the saved
-//! frame, one result slot per sub-call and the join mode. Sub-calls are
+//! frame, one result slot per sub-call and the join mode. Records live in
+//! a slab indexed by `u32` ids whose freed slots are reused. Sub-calls are
 //! issued through [`CallCtx::call_hint`]; their tickets index back into the
-//! records. When a join completes the frame is resumed, possibly producing
-//! more records, until the activation finishes and its result is replied to
-//! the parent ticket.
+//! records through a [`TicketMap`]. When a join completes the frame is
+//! resumed, possibly producing more records, until the activation finishes
+//! and its result is replied to the parent ticket.
 
-use std::collections::HashMap;
-
-use hyperspace_mapping::{CallCtx, Ticket, TicketHandler};
+use hyperspace_mapping::{CallCtx, Ticket, TicketHandler, TicketMap};
 use hyperspace_sim::NodeId;
 
 use crate::program::{Join, Objective, RecProgram, Resumed, Spawn, Step};
@@ -81,10 +80,12 @@ struct CallRecord<P: RecProgram> {
     frame: Option<P::Frame>,
     /// Join mode of the outstanding batch.
     join: Join<P::Out>,
-    /// Result slots, one per sub-call, in issue order.
-    results: Vec<Option<P::Out>>,
-    /// Sub-call tickets still outstanding.
-    pending: Vec<Ticket>,
+    /// One slot per sub-call, in issue order: its ticket and (for `All`
+    /// joins) its result. A sub-call is outstanding while its ticket is
+    /// still in the node's `ticket_index`.
+    slots: Vec<(Ticket, Option<P::Out>)>,
+    /// Sub-calls whose reply has neither arrived nor been cancelled.
+    outstanding: u32,
     /// `Any` join already satisfied (or activation cancelled): remaining
     /// replies are ignored, the record lingers only for bookkeeping.
     closed: bool,
@@ -116,12 +117,14 @@ pub struct RecStats {
 
 /// Per-node layer-4 state.
 pub struct RecState<P: RecProgram> {
-    records: HashMap<u64, CallRecord<P>>,
-    /// sub-call ticket -> (record id, result slot).
-    ticket_index: HashMap<u64, (u64, usize)>,
+    /// Call-record slab: `None` slots are free and listed in `free`.
+    records: Vec<Option<CallRecord<P>>>,
+    /// Ids of the free slots in `records`, reused last-freed first.
+    free: Vec<u32>,
+    /// sub-call ticket -> (record id, slot).
+    ticket_index: TicketMap<(u32, u32)>,
     /// parent ticket -> record id (for cancellation lookups).
-    parent_index: HashMap<u64, u64>,
-    next_record: u64,
+    parent_index: TicketMap<u32>,
     /// Objective direction, when the host runs in B&B mode (used by
     /// report folding to pick the best incumbent across nodes).
     objective: Option<Objective>,
@@ -136,10 +139,10 @@ pub struct RecState<P: RecProgram> {
 impl<P: RecProgram> RecState<P> {
     fn new(bnb: Option<&BnbMode>) -> Self {
         RecState {
-            records: HashMap::new(),
-            ticket_index: HashMap::new(),
-            parent_index: HashMap::new(),
-            next_record: 0,
+            records: Vec::new(),
+            free: Vec::new(),
+            ticket_index: TicketMap::default(),
+            parent_index: TicketMap::default(),
             objective: bnb.map(|m| m.objective),
             incumbent: bnb.and_then(|m| m.initial_incumbent),
             incumbent_trace: Vec::new(),
@@ -149,7 +152,35 @@ impl<P: RecProgram> RecState<P> {
 
     /// Number of live call records (suspended activations) on this node.
     pub fn live_records(&self) -> usize {
-        self.records.len()
+        self.records.len() - self.free.len()
+    }
+
+    /// Stores `record` in a free slab slot and returns its id.
+    fn insert_record(&mut self, record: CallRecord<P>) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.records[id as usize] = Some(record);
+                id
+            }
+            None => {
+                let id = u32::try_from(self.records.len()).expect("fewer than 2^32 live records");
+                self.records.push(Some(record));
+                id
+            }
+        }
+    }
+
+    /// Takes record `id` out of the slab and frees its slot.
+    fn remove_record(&mut self, id: u32) -> CallRecord<P> {
+        let record = self.records[id as usize].take().expect("live record");
+        self.free.push(id);
+        record
+    }
+
+    /// Every slab slot is free: nothing leaked, nothing double-freed.
+    #[cfg(test)]
+    fn slab_is_empty(&self) -> bool {
+        self.free.len() == self.records.len() && self.records.iter().all(Option::is_none)
     }
 
     /// Objective direction when the host runs in B&B mode.
@@ -181,12 +212,12 @@ impl<P: RecProgram> RecState<P> {
             incumbent_updates: self.stats.incumbent_updates,
             ..FrontierSnapshot::default()
         };
-        for record in self.records.values() {
+        for record in self.records.iter().flatten() {
             if record.closed {
                 snapshot.closed_records += 1;
             } else {
                 snapshot.open_records += 1;
-                snapshot.pending_calls += record.pending.len() as u64;
+                snapshot.pending_calls += u64::from(record.outstanding);
             }
         }
         snapshot
@@ -358,28 +389,25 @@ impl<P: RecProgram> RecursionHost<P> {
                         step = self.program.resume(frame, resumed);
                         continue;
                     }
-                    let id = state.next_record;
-                    state.next_record += 1;
-                    let mut pending = Vec::with_capacity(calls.len());
-                    for (slot, arg) in calls.into_iter().enumerate() {
+                    let mut slots = Vec::with_capacity(calls.len());
+                    for arg in calls {
                         let hint = self.program.weight(&arg);
-                        let t = ctx.call_hint(arg, hint);
-                        state.ticket_index.insert(t.raw(), (id, slot));
-                        pending.push(t);
+                        slots.push((ctx.call_hint(arg, hint), None));
                     }
-                    let results = (0..pending.len()).map(|_| None).collect();
-                    state.parent_index.insert(parent.raw(), id);
-                    state.records.insert(
-                        id,
-                        CallRecord {
-                            parent,
-                            frame: Some(frame),
-                            join,
-                            results,
-                            pending,
-                            closed: false,
-                        },
-                    );
+                    let id = state.insert_record(CallRecord {
+                        parent,
+                        frame: Some(frame),
+                        join,
+                        outstanding: u32::try_from(slots.len())
+                            .expect("fewer than 2^32 sub-calls in one batch"),
+                        slots,
+                        closed: false,
+                    });
+                    let rec = state.records[id as usize].as_ref().expect("just inserted");
+                    for (slot, &(t, _)) in rec.slots.iter().enumerate() {
+                        state.ticket_index.insert(t, (id, slot as u32));
+                    }
+                    state.parent_index.insert(parent, id);
                     return;
                 }
             }
@@ -387,13 +415,27 @@ impl<P: RecProgram> RecursionHost<P> {
     }
 
     /// Removes a record's bookkeeping once no replies remain outstanding.
-    fn gc_record(state: &mut RecState<P>, id: u64) {
-        if let Some(rec) = state.records.get(&id) {
-            if rec.pending.is_empty() {
-                let rec = state.records.remove(&id).expect("checked");
-                state.parent_index.remove(&rec.parent.raw());
+    fn gc_record(state: &mut RecState<P>, id: u32) {
+        if state.records[id as usize]
+            .as_ref()
+            .is_some_and(|rec| rec.outstanding == 0)
+        {
+            let rec = state.remove_record(id);
+            state.parent_index.remove(&rec.parent);
+        }
+    }
+
+    /// Withdraws every sub-call of record `id` still outstanding, in issue
+    /// order: the slots whose ticket is still in `ticket_index`.
+    fn cancel_outstanding(state: &mut RecState<P>, id: u32, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {
+        let rec = state.records[id as usize].as_mut().expect("live record");
+        for &(t, _) in &rec.slots {
+            if state.ticket_index.remove(&t).is_some() {
+                ctx.cancel(t);
+                state.stats.cancels_sent += 1;
             }
         }
+        rec.outstanding = 0;
     }
 }
 
@@ -442,16 +484,14 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         resp: P::Out,
         ctx: &mut dyn CallCtx<P::Arg, P::Out>,
     ) {
-        let Some((id, slot)) = state.ticket_index.remove(&ticket.raw()) else {
+        let Some((id, slot)) = state.ticket_index.remove(&ticket) else {
             // Straggler for a record already resolved/cancelled.
             state.stats.stale_replies += 1;
             return;
         };
-        let Some(rec) = state.records.get_mut(&id) else {
-            state.stats.stale_replies += 1;
-            return;
-        };
-        rec.pending.retain(|t| *t != ticket);
+        // A ticket stays indexed only while its record is live.
+        let rec = state.records[id as usize].as_mut().expect("indexed record");
+        rec.outstanding -= 1;
 
         if rec.closed {
             state.stats.stale_replies += 1;
@@ -461,14 +501,14 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
 
         match rec.join {
             Join::All => {
-                rec.results[slot] = Some(resp);
-                if rec.pending.is_empty() {
-                    let rec = state.records.remove(&id).expect("present");
-                    state.parent_index.remove(&rec.parent.raw());
+                rec.slots[slot as usize].1 = Some(resp);
+                if rec.outstanding == 0 {
+                    let rec = state.remove_record(id);
+                    state.parent_index.remove(&rec.parent);
                     let results: Vec<P::Out> = rec
-                        .results
+                        .slots
                         .into_iter()
-                        .map(|r| r.expect("all slots filled"))
+                        .map(|(_, r)| r.expect("all slots filled"))
                         .collect();
                     let frame = rec.frame.expect("frame present until resumed");
                     let step = self.program.resume(frame, Resumed::All(results));
@@ -479,29 +519,21 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
                 if valid(&resp) {
                     // First valid result wins; ignore (or cancel) the rest.
                     rec.closed = true;
-                    if !rec.pending.is_empty() {
+                    if rec.outstanding != 0 {
                         state.stats.speculative_wins += 1;
                     }
                     let frame = rec.frame.take().expect("frame present until resumed");
                     let parent = rec.parent;
                     if self.cancel_losers {
-                        let losers: Vec<Ticket> = rec.pending.clone();
-                        for t in &losers {
-                            state.ticket_index.remove(&t.raw());
-                            ctx.cancel(*t);
-                            state.stats.cancels_sent += 1;
-                        }
-                        if let Some(rec) = state.records.get_mut(&id) {
-                            rec.pending.clear();
-                        }
+                        Self::cancel_outstanding(state, id, ctx);
                     }
                     Self::gc_record(state, id);
                     let step = self.program.resume(frame, Resumed::Any(Some(resp)));
                     self.drive(state, step, parent, ctx);
-                } else if rec.pending.is_empty() {
+                } else if rec.outstanding == 0 {
                     // Everything returned, nothing valid: null result.
-                    let rec = state.records.remove(&id).expect("present");
-                    state.parent_index.remove(&rec.parent.raw());
+                    let rec = state.remove_record(id);
+                    state.parent_index.remove(&rec.parent);
                     let frame = rec.frame.expect("frame present until resumed");
                     let step = self.program.resume(frame, Resumed::Any(None));
                     self.drive(state, step, rec.parent, ctx);
@@ -519,24 +551,14 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         // The caller withdrew the request it issued with `reply_to`. Find
         // the activation working on it, abandon it, and recursively cancel
         // its own outstanding sub-calls.
-        let Some(id) = state.parent_index.remove(&reply_to.raw()) else {
+        let Some(id) = state.parent_index.remove(&reply_to) else {
             // Already replied (reply and cancel crossed in flight) — or the
             // request never started an activation here. Nothing to do.
             return;
         };
-        let Some(rec) = state.records.get_mut(&id) else {
-            return;
-        };
-        rec.closed = true;
-        rec.frame = None;
         state.stats.cancelled += 1;
-        let losers: Vec<Ticket> = rec.pending.drain(..).collect();
-        for t in &losers {
-            state.ticket_index.remove(&t.raw());
-            ctx.cancel(*t);
-            state.stats.cancels_sent += 1;
-        }
-        state.records.remove(&id);
+        Self::cancel_outstanding(state, id, ctx);
+        state.remove_record(id);
     }
 
     fn on_bound(&self, state: &mut RecState<P>, value: i64, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {
@@ -725,6 +747,46 @@ mod tests {
         let completed: u64 = (0..16).map(|n| sim.state(n).app.stats.completed).sum();
         assert_eq!(started, 26);
         assert_eq!(completed, 26);
+    }
+
+    #[test]
+    fn any_join_with_cancellation_frees_every_record() {
+        // Every activation races three sub-searches, the shortest first;
+        // the first reply wins and the two deeper siblings are withdrawn,
+        // cancelling whole suspended subtrees on other nodes.
+        let race = FnProgram::new(|n: u64| {
+            if n == 0 {
+                Rec::done(1)
+            } else {
+                Rec::call_any(vec![n / 2, n - 1, n - 1], |r| *r > 0)
+                    .then_any(|r| Rec::done(r.unwrap_or(0) + 1))
+            }
+        });
+        let host = MappingHost::new(
+            RecursionHost::new(race).with_cancellation(),
+            LeastBusyMapper::factory(),
+            MapConfig {
+                halt_on_root_reply: false,
+                ..MapConfig::default()
+            },
+        );
+        let mut sim = Simulation::new(Torus::new_2d(4, 4), host, SimConfig::default());
+        sim.inject(0, trigger(9));
+        sim.run_to_quiescence().unwrap();
+        assert!(sim.state(0).root_result().is_some());
+        let total =
+            |f: fn(&RecStats) -> u64| -> u64 { (0..16).map(|n| f(&sim.state(n).app.stats)).sum() };
+        assert!(total(|s| s.speculative_wins) > 0);
+        assert!(total(|s| s.cancels_sent) > 0);
+        assert!(
+            total(|s| s.cancelled) > 0,
+            "cancels must reach live records"
+        );
+        for node in 0..16 {
+            let rec = &sim.state(node).app;
+            assert_eq!(rec.live_records(), 0, "node {node} leaked");
+            assert!(rec.slab_is_empty(), "node {node} holds a record slot");
+        }
     }
 
     #[test]

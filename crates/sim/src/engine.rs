@@ -593,7 +593,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
     /// identical results.
     fn run_handlers(&mut self, step: u64, tick: bool, work: &[NodeId]) -> bool {
         let program = &self.program;
-        let topo = &self.topo;
         let csr = &self.ctx.csr;
         let num_nodes = self.states.len();
         let adjacent_only = self.cfg.delivery == DeliveryModel::AdjacentOnly;
@@ -614,7 +613,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
                     neighbours,
                     topo_nodes: num_nodes,
                     adjacent_only,
-                    topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -629,7 +627,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
                     neighbours,
                     topo_nodes: num_nodes,
                     adjacent_only,
-                    topo,
                     staged,
                     halt: &mut halt,
                 };

@@ -1268,7 +1268,6 @@ fn phase_handlers<T: Topology, P: NodeProgram>(
                     neighbours,
                     topo_nodes: env.num_nodes,
                     adjacent_only,
-                    topo: env.topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -1283,7 +1282,6 @@ fn phase_handlers<T: Topology, P: NodeProgram>(
                     neighbours,
                     topo_nodes: env.num_nodes,
                     adjacent_only,
-                    topo: env.topo,
                     staged,
                     halt: &mut halt,
                 };

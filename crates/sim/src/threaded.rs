@@ -187,7 +187,6 @@ where
                 neighbours: ctx.neighbours,
                 topo_nodes: ctx.topo.num_nodes(),
                 adjacent_only: true,
-                topo: ctx.topo,
                 staged: &mut staged,
                 halt: &mut halt,
             };

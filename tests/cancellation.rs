@@ -3,25 +3,32 @@
 //! expansion frontier — plus anytime behaviour of branch-and-bound
 //! searches interrupted by a deadline or stop handle.
 
-use hyperspace::apps::{knapsack_reference, seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
+use hyperspace::apps::{
+    knapsack_reference, seeded_items, BnbKnapsackProgram, BnbKnapsackTask, NQueensProgram,
+    QueensTask,
+};
 use hyperspace::core::{
-    MapperSpec, ObjectiveSpec, PruneSpec, StackBuilder, StopHandle, TopologySpec,
+    MapperSpec, ObjectiveSpec, PruneSpec, RecRunReport, StackBuilder, StopHandle, TopologySpec,
 };
 use hyperspace::sat::{
     brute, check_model, gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict,
 };
 use hyperspace::sim::RunOutcome;
 
-fn solve(cnf: &hyperspace::sat::Cnf, cancel: bool) -> (Verdict, u64, u64) {
+fn sat_report(cnf: &hyperspace::sat::Cnf, cancel: bool) -> RecRunReport<Verdict> {
     let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
-    let report = StackBuilder::new(program)
+    StackBuilder::new(program)
         .topology(TopologySpec::Torus2D { w: 6, h: 6 })
         .mapper(MapperSpec::LeastBusy {
             status_period: None,
         })
         .cancellation(cancel)
         .halt_on_root_reply(false)
-        .run(SubProblem::root(cnf.clone()), 0);
+        .run(SubProblem::root(cnf.clone()), 0)
+}
+
+fn solve(cnf: &hyperspace::sat::Cnf, cancel: bool) -> (Verdict, u64, u64) {
+    let report = sat_report(cnf, cancel);
     (
         report.result.expect("verdict"),
         report.rec_totals.cancelled,
@@ -179,4 +186,68 @@ fn stale_replies_are_tolerated() {
     let cnf = gen::uf20_91(3);
     let (verdict, _, _stale) = solve(&cnf, true);
     assert!(verdict.is_sat());
+}
+
+/// The stack's bookkeeping counts for one run: `(steps, deliveries,
+/// [started, completed, stale_replies, speculative_wins, cancels_sent,
+/// cancelled])`.
+fn stack_counts<Out>(report: &RecRunReport<Out>) -> (u64, u64, [u64; 6]) {
+    let r = &report.rec_totals;
+    (
+        report.steps,
+        report.metrics.total_delivered,
+        [
+            r.started,
+            r.completed,
+            r.stale_replies,
+            r.speculative_wins,
+            r.cancels_sent,
+            r.cancelled,
+        ],
+    )
+}
+
+#[test]
+fn golden_stack_counts() {
+    // Every delivery order is a pure function of the configuration, so
+    // the ticket and call-record bookkeeping of layers 3-4 must reproduce
+    // these counts exactly. A change to how tickets or records are stored
+    // that moves any of them has changed behaviour, not just speed.
+    let queens = StackBuilder::new(NQueensProgram)
+        .topology(TopologySpec::Torus2D { w: 14, h: 14 })
+        .mapper(MapperSpec::LeastBusy {
+            status_period: None,
+        })
+        .run(QueensTask::root(8), 0);
+    assert_eq!(queens.result, Some(92));
+    assert_eq!(stack_counts(&queens), (182, 4115, [2057, 2057, 0, 0, 0, 0]));
+
+    let cnf = gen::uf20_91(3);
+    let with_cancel = sat_report(&cnf, true);
+    assert!(with_cancel.result.as_ref().expect("verdict").is_sat());
+    assert_eq!(
+        stack_counts(&with_cancel),
+        (262, 5443, [2695, 2552, 52, 33, 195, 143])
+    );
+    let without_cancel = sat_report(&cnf, false);
+    assert!(without_cancel.result.as_ref().expect("verdict").is_sat());
+    assert_eq!(
+        stack_counts(&without_cancel),
+        (258, 5391, [2695, 2695, 42, 42, 0, 0])
+    );
+
+    let items = seeded_items(0xB0B, 12, 12, 20);
+    let capacity = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+    let bnb = StackBuilder::new(BnbKnapsackProgram)
+        .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+        .mapper(MapperSpec::LeastBusy {
+            status_period: None,
+        })
+        .objective(ObjectiveSpec::Maximise)
+        .prune(PruneSpec::incumbent())
+        .halt_on_root_reply(false)
+        .run(BnbKnapsackTask::root(items.clone(), capacity), 0);
+    assert_eq!(bnb.result, Some(knapsack_reference(&items, capacity)));
+    assert_eq!(bnb.result, Some(99));
+    assert_eq!(stack_counts(&bnb), (462, 3665, [959, 959, 0, 0, 0, 0]));
 }
